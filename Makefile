@@ -18,10 +18,11 @@ race:
 bench:
 	$(GO) test -bench BenchmarkSharedScanBatch -benchmem -run '^$$' ./internal/query/
 
-## bench-check: regression gate — run the smoke and tiered scenarios and compare against the checked-in CI baselines (wide noise band; catches collapses, not drift)
+## bench-check: regression gate — run the smoke and tiered scenarios and compare against the checked-in CI baselines (wide noise band; catches collapses, not drift). Runs a `go build` binary so results carry the git revision.
 bench-check:
-	$(GO) run ./cmd/aimbench -scenario smoke -compare -fingerprint ci -noise-floor 1.5
-	$(GO) run ./cmd/aimbench -scenario tiered -compare -fingerprint ci -noise-floor 1.5
+	$(GO) build -o .bench_build/aimbench ./cmd/aimbench
+	.bench_build/aimbench -scenario smoke -compare -fingerprint ci -noise-floor 1.5
+	.bench_build/aimbench -scenario tiered -compare -fingerprint ci -noise-floor 1.5
 
 ## bench-baseline: record + promote scenario baselines for THIS host (run after intentional perf changes)
 bench-baseline:

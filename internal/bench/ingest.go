@@ -30,8 +30,8 @@ func ingestPoint(p Params, sch *schema.Schema, batch int) (evs int, rate float64
 		return 0, 0, 0, err
 	}
 	defer node.Stop()
-	// Server-side coalescing stays off: the sweep isolates the client knob,
-	// so batch=1 really is one frame and one apply per event.
+	// The client knob is the only batching layer, so batch=1 really is one
+	// frame and one apply per event.
 	srv, err := netproto.Serve("127.0.0.1:0", node, sch)
 	if err != nil {
 		return 0, 0, 0, err

@@ -1,43 +1,13 @@
 package cluster
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/event"
 )
-
-// newLocalOpts boots n in-process nodes under a cluster with explicit
-// options, for exercising the batched routing paths.
-func newLocalOpts(t *testing.T, n int, opts Options) (*Cluster, []*core.StorageNode) {
-	t.Helper()
-	sch := clusterSchema(t)
-	nodes := make([]*core.StorageNode, n)
-	handles := make([]core.Storage, n)
-	for i := range nodes {
-		node, err := core.NewNode(core.Config{
-			Schema: sch, Partitions: 2, BucketSize: 32,
-			IdleMergePause: 200 * time.Microsecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
-		handles[i] = node
-	}
-	c, err := NewWithOptions(handles, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		c.Close()
-		for _, node := range nodes {
-			node.Stop()
-		}
-	})
-	return c, nodes
-}
 
 func sumProcessed(nodes []*core.StorageNode) uint64 {
 	var total uint64
@@ -47,25 +17,11 @@ func sumProcessed(nodes []*core.StorageNode) uint64 {
 	return total
 }
 
-func waitSumProcessed(t *testing.T, nodes []*core.StorageNode, want uint64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if got := sumProcessed(nodes); got == want {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("nodes processed %d events, want %d", sumProcessed(nodes), want)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestClusterBatchingDeliversAll routes a stream through per-node
-// coalescing buffers (size-triggered flushes plus the FlushEvents drain)
-// and checks nothing is lost or duplicated across nodes.
+// TestClusterBatchingDeliversAll routes per-event and pre-batched ingress
+// through the cluster and checks the owner bucketing loses or duplicates
+// nothing across nodes.
 func TestClusterBatchingDeliversAll(t *testing.T) {
-	c, nodes := newLocalOpts(t, 3, Options{Batch: BatchConfig{MaxEvents: 8, Linger: -1}})
+	c, nodes := newLocal(t, 3)
 	const n = 500
 	for i := 0; i < n; i++ {
 		ev := event.Event{Caller: uint64(i%97) + 1, Timestamp: int64(i + 1), Duration: 5, Cost: 1}
@@ -73,7 +29,6 @@ func TestClusterBatchingDeliversAll(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Pre-batched ingress joins the same buffers.
 	batch := make([]event.Event, 100)
 	for i := range batch {
 		batch[i] = event.Event{Caller: uint64(i%97) + 1, Timestamp: int64(1000 + i), Duration: 5, Cost: 1}
@@ -87,39 +42,6 @@ func TestClusterBatchingDeliversAll(t *testing.T) {
 	if got := sumProcessed(nodes); got != n+100 {
 		t.Fatalf("nodes processed %d events, want %d", got, n+100)
 	}
-}
-
-// TestClusterBatchLingerFlush checks a quiet stream does not strand
-// buffered events: the linger loop ships size-incomplete buffers.
-func TestClusterBatchLingerFlush(t *testing.T) {
-	c, nodes := newLocalOpts(t, 2, Options{Batch: BatchConfig{MaxEvents: 1024, Linger: 2 * time.Millisecond}})
-	for i := 0; i < 10; i++ {
-		ev := event.Event{Caller: uint64(i) + 1, Timestamp: int64(i + 1), Duration: 5, Cost: 1}
-		if err := c.ProcessEventAsync(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// No flush call: only the linger loop can deliver these.
-	waitSumProcessed(t, nodes, 10)
-}
-
-// TestClusterGetFlushesBuffer checks routing order: a Get on an entity
-// flushes its node's coalescing buffer first, so the read cannot observe a
-// state missing events this handle already accepted.
-func TestClusterGetFlushesBuffer(t *testing.T) {
-	c, nodes := newLocalOpts(t, 2, Options{Batch: BatchConfig{MaxEvents: 1024, Linger: -1}})
-	for i := 0; i < 5; i++ {
-		ev := event.Event{Caller: 7, Timestamp: int64(i + 1), Duration: 5, Cost: 1}
-		if err := c.ProcessEventAsync(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, _, err := c.Get(7); err != nil {
-		t.Fatal(err)
-	}
-	// The Get was the only possible flush trigger (huge buffer, no linger);
-	// the events must now be at the owning node.
-	waitSumProcessed(t, nodes, 5)
 }
 
 // haltingStorage delivers events until its budget runs out, then fails —
@@ -140,23 +62,20 @@ func (h *haltingStorage) ProcessEventAsync(ev event.Event) error {
 	return h.flakyStorage.ProcessEventAsync(ev)
 }
 
-// TestClusterBatchSpillAndReplay kills delivery mid-flush: the batch's
+// TestClusterBatchSpillAndReplay kills delivery mid-batch: the batch's
 // delivered prefix must stay delivered, the undelivered suffix must spill
 // and replay after recovery, and the node must see the original stream
 // order with no duplicates.
 func TestClusterBatchSpillAndReplay(t *testing.T) {
-	// Budget 2: a 4-event flush delivers 2, then fails. haltingStorage has no
+	// Budget 2: a 4-event batch delivers 2, then fails. haltingStorage has no
 	// ProcessEventBatch, so delivery takes core.ProcessBatch's per-event
 	// fallback — the path that reports partial progress.
 	// RetryInterval is huge so the background drainer never races the
 	// assertions below; replay goes through FlushEvents' synchronous path.
 	hs := &haltingStorage{budget: 2}
-	c, err := NewWithOptions([]core.Storage{hs}, Options{
-		Health: HealthConfig{
-			FailureThreshold: 3, ProbeInterval: 5 * time.Millisecond,
-			RetryQueue: 100, RetryInterval: time.Minute,
-		},
-		Batch: BatchConfig{MaxEvents: 4, Linger: -1},
+	c, err := NewWithHealth([]core.Storage{hs}, HealthConfig{
+		FailureThreshold: 3, ProbeInterval: 5 * time.Millisecond,
+		RetryQueue: 100, RetryInterval: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -166,9 +85,11 @@ func TestClusterBatchSpillAndReplay(t *testing.T) {
 	evs := make([]event.Event, 4)
 	for i := range evs {
 		evs[i] = event.Event{Caller: uint64(i) + 1, Timestamp: int64(i + 1), Duration: 5, Cost: 1}
-		if err := c.ProcessEventAsync(evs[i]); err != nil {
-			t.Fatalf("event %d: buffered send surfaced %v", i, err)
-		}
+	}
+	// ProcessEventBatch takes ownership of its slice; keep evs as the
+	// reference stream.
+	if err := c.ProcessEventBatch(append([]event.Event(nil), evs...)); err != nil {
+		t.Fatalf("spilled batch surfaced %v", err)
 	}
 	if got := hs.deliveredCount(); got != 2 {
 		t.Fatalf("delivered %d events before the fault, want 2", got)
@@ -200,128 +121,14 @@ func TestClusterBatchSpillAndReplay(t *testing.T) {
 	}
 }
 
-// slowBatchStorage records whole-batch deliveries, stalling size-incomplete
-// batches (the ones the linger loop ships) to widen the window between a
-// batch being swapped out of its buffer and it reaching the node — the
-// window in which an unserialized linger flush would be overtaken by the
-// producer's next size-triggered flush.
-type slowBatchStorage struct {
-	flakyStorage
-	full int // batches below this size sleep before recording
-}
-
-func (s *slowBatchStorage) ProcessEventBatch(evs []event.Event) error {
-	if len(evs) < s.full {
-		time.Sleep(3 * time.Millisecond)
-	}
-	s.mu.Lock()
-	s.delivered = append(s.delivered, evs...)
-	s.mu.Unlock()
-	return nil
-}
-
-// TestClusterBatchDeliveryOrder races the linger loop against size-triggered
-// flushes on a node with erratic delivery latency: batches must reach the
-// node in buffer order, so same-caller events are never applied out of
-// order (the ordering half of the batched-vs-per-event equivalence
-// contract).
-func TestClusterBatchDeliveryOrder(t *testing.T) {
-	ss := &slowBatchStorage{full: 4}
-	c, err := NewWithOptions([]core.Storage{ss}, Options{
-		Batch: BatchConfig{MaxEvents: 4, Linger: 500 * time.Microsecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-
-	const n = 200
-	for i := 0; i < n; i++ {
-		ev := event.Event{Caller: uint64(i%3) + 1, Timestamp: int64(i + 1), Duration: 5, Cost: 1}
-		if err := c.ProcessEventAsync(ev); err != nil {
-			t.Fatal(err)
-		}
-		if i%5 == 4 {
-			// Pause with a partial buffer so the linger loop regularly grabs
-			// a batch (which then stalls in delivery) while the producer's
-			// next size-triggered flush races it.
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	if err := c.FlushEvents(); err != nil {
-		t.Fatal(err)
-	}
-	ss.mu.Lock()
-	got := append([]event.Event(nil), ss.delivered...)
-	ss.mu.Unlock()
-	if len(got) != n {
-		t.Fatalf("delivered %d events, want %d", len(got), n)
-	}
-	last := make(map[uint64]int64)
-	for i, ev := range got {
-		if ev.Timestamp <= last[ev.Caller] {
-			t.Fatalf("delivery %d: caller %d timestamp %d arrived after %d — batches reordered",
-				i, ev.Caller, ev.Timestamp, last[ev.Caller])
-		}
-		last[ev.Caller] = ev.Timestamp
-	}
-}
-
-// TestClusterBatchDisabledHealthRetains checks that with health tracking
-// disabled (no spill queue) a failed flush does not drop buffered events:
-// the undelivered suffix stays requeued at the buffer head and a flush after
-// recovery delivers the whole stream in order, without duplicates.
-func TestClusterBatchDisabledHealthRetains(t *testing.T) {
-	fs := &flakyStorage{}
-	c, err := NewWithOptions([]core.Storage{fs}, Options{
-		Health: HealthConfig{FailureThreshold: -1},
-		Batch:  BatchConfig{MaxEvents: 2, Linger: -1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	fs.down.Store(true)
-
-	evs := make([]event.Event, 6)
-	for i := range evs {
-		evs[i] = event.Event{Caller: uint64(i) + 1, Timestamp: int64(i + 1), Duration: 5, Cost: 1}
-		if err := c.ProcessEventAsync(evs[i]); err != nil {
-			t.Fatalf("event %d: buffered send surfaced %v", i, err)
-		}
-	}
-	if got := fs.deliveredCount(); got != 0 {
-		t.Fatalf("%d events delivered to a down node", got)
-	}
-
-	fs.down.Store(false)
-	if err := c.FlushEvents(); err != nil {
-		t.Fatalf("flush after recovery: %v", err)
-	}
-	fs.mu.Lock()
-	got := append([]event.Event(nil), fs.delivered...)
-	fs.mu.Unlock()
-	if len(got) != len(evs) {
-		t.Fatalf("delivered %d events, want %d (events dropped without a spill queue)", len(got), len(evs))
-	}
-	for i := range got {
-		if got[i] != evs[i] {
-			t.Fatalf("delivery %d: got %+v, want %+v (order or duplication broken)", i, got[i], evs[i])
-		}
-	}
-}
-
-// TestClusterBatchBreakerOpenSpills checks a flush against an open breaker
+// TestClusterBatchBreakerOpenSpills checks a batch against an open breaker
 // does not even touch the node: the whole batch spills and replays once the
 // node recovers.
 func TestClusterBatchBreakerOpenSpills(t *testing.T) {
 	fs := &flakyStorage{}
-	c, err := NewWithOptions([]core.Storage{fs}, Options{
-		Health: HealthConfig{
-			FailureThreshold: 2, ProbeInterval: time.Minute,
-			RetryQueue: 100, RetryInterval: time.Minute,
-		},
-		Batch: BatchConfig{MaxEvents: 2, Linger: -1},
+	c, err := NewWithHealth([]core.Storage{fs}, HealthConfig{
+		FailureThreshold: 2, ProbeInterval: time.Minute,
+		RetryQueue: 100, RetryInterval: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -329,17 +136,21 @@ func TestClusterBatchBreakerOpenSpills(t *testing.T) {
 	t.Cleanup(c.Close)
 	fs.down.Store(true)
 
-	// Two full flushes fail and open the breaker; the third flush spills
+	// Two failed deliveries open the breaker; the third batch spills
 	// without a delivery attempt, so delivered stays 0 for the whole outage.
-	for i := 0; i < 6; i++ {
-		ev := event.Event{Caller: uint64(i) + 1, Timestamp: int64(i + 1), Duration: 5, Cost: 1}
-		if err := c.ProcessEventAsync(ev); err != nil {
+	for b := 0; b < 3; b++ {
+		evs := make([]event.Event, 2)
+		for i := range evs {
+			n := 2*b + i
+			evs[i] = event.Event{Caller: uint64(n) + 1, Timestamp: int64(n + 1), Duration: 5, Cost: 1}
+		}
+		if err := c.ProcessEventBatch(evs); err != nil {
 			t.Fatal(err)
 		}
 	}
 	h := c.Health(0)
 	if h.State != BreakerOpen || h.QueuedEvents != 6 || fs.deliveredCount() != 0 {
-		t.Fatalf("health after failed flushes = %+v (delivered %d), want open breaker, 6 queued, 0 delivered",
+		t.Fatalf("health after failed batches = %+v (delivered %d), want open breaker, 6 queued, 0 delivered",
 			h, fs.deliveredCount())
 	}
 
@@ -356,20 +167,18 @@ func TestClusterBatchBreakerOpenSpills(t *testing.T) {
 	}
 }
 
-// TestBatchSpillOverflowDoesNotDropEvents is the regression test for the
-// silent-loss bug in the coalescing path: when a flush-time spill overflows
-// the bounded retry queue under the default reject policy, the leftover
-// suffix used to be counted as dropped and discarded. It must instead stay
-// in the coalescing buffer and eventually reach the node.
+// TestBatchSpillOverflowDoesNotDropEvents is the regression test for silent
+// loss on the batch path: when a spill overflows the bounded retry queue
+// under the default reject policy, the leftover suffix must not be counted
+// as dropped and discarded. The caller gets a typed PartialBatchError with
+// the accepted prefix, resubmits the rest after recovery, and every event
+// reaches the node exactly once, in order.
 func TestBatchSpillOverflowDoesNotDropEvents(t *testing.T) {
 	fs := &flakyStorage{}
-	c, err := NewWithOptions([]core.Storage{fs}, Options{
-		Health: HealthConfig{
-			FailureThreshold: 1, ProbeInterval: 2 * time.Millisecond,
-			RetryQueue: 2, RetryInterval: time.Hour,
-			SpillRetryAfter: time.Millisecond,
-		},
-		Batch: BatchConfig{MaxEvents: 4, Linger: -1},
+	c, err := NewWithHealth([]core.Storage{fs}, HealthConfig{
+		FailureThreshold: 1, ProbeInterval: 2 * time.Millisecond,
+		RetryQueue: 2, RetryInterval: time.Hour,
+		SpillRetryAfter: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -378,31 +187,103 @@ func TestBatchSpillOverflowDoesNotDropEvents(t *testing.T) {
 
 	fs.down.Store(true)
 	const events = 10
-	for i := 0; i < events; i++ {
-		if err := c.ProcessEventAsync(event.Event{Caller: uint64(i + 1)}); err != nil {
-			t.Fatalf("event %d: buffered ingest must accept, got %v", i, err)
-		}
+	evs := make([]event.Event, events)
+	for i := range evs {
+		evs[i] = event.Event{Caller: uint64(i + 1), Timestamp: int64(i + 1)}
+	}
+	err = c.ProcessEventBatch(append([]event.Event(nil), evs...))
+	var pe *core.PartialBatchError
+	if !errors.As(err, &pe) || !errors.Is(err, core.ErrOverloaded) {
+		t.Fatalf("overflowing spill = %v, want a PartialBatchError wrapping ErrOverloaded", err)
 	}
 	h := c.Health(0)
 	if h.Dropped != 0 {
 		t.Fatalf("reject policy silently dropped %d events: %+v", h.Dropped, h)
 	}
-	// Every offered event is still owned somewhere: delivered to the node,
-	// parked in the spill queue, or retained in the coalescing buffer.
-	c.batches[0].mu.Lock()
-	buffered := len(c.batches[0].buf)
-	c.batches[0].mu.Unlock()
-	if got := fs.deliveredCount() + h.QueuedEvents + buffered; got != events {
-		t.Fatalf("accounted for %d/%d events (delivered=%d queued=%d buffered=%d)",
-			got, events, fs.deliveredCount(), h.QueuedEvents, buffered)
+	if pe.Applied != 2 || h.QueuedEvents != 2 || fs.deliveredCount() != 0 {
+		t.Fatalf("accepted %d, queued %d, delivered %d; want 2 accepted into the queue, 0 delivered",
+			pe.Applied, h.QueuedEvents, fs.deliveredCount())
 	}
 
-	// Recovery: one flush lands everything, in spite of the full queue.
+	// Recovery: the flush replays the queued prefix, then the caller
+	// resubmits the suffix it still owns.
 	fs.down.Store(false)
 	if err := c.FlushEvents(); err != nil {
 		t.Fatalf("flush after recovery: %v", err)
 	}
-	if got := fs.deliveredCount(); got != events {
-		t.Fatalf("delivered %d/%d events after recovery", got, events)
+	if err := c.ProcessEventBatch(append([]event.Event(nil), evs[pe.Applied:]...)); err != nil {
+		t.Fatalf("resubmitting the suffix: %v", err)
+	}
+	fs.mu.Lock()
+	got := append([]event.Event(nil), fs.delivered...)
+	fs.mu.Unlock()
+	if len(got) != events {
+		t.Fatalf("delivered %d/%d events after recovery", len(got), events)
+	}
+	for i := range got {
+		if got[i] != evs[i] {
+			t.Fatalf("delivery %d: got %+v, want %+v (order or duplication broken)", i, got[i], evs[i])
+		}
+	}
+}
+
+// gateStorage holds every batch delivery until release is closed, so a
+// drainer batch can be caught in flight.
+type gateStorage struct {
+	flakyStorage
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gateStorage) ProcessEventBatch(evs []event.Event) error {
+	select {
+	case g.entered <- struct{}{}:
+	default:
+	}
+	<-g.release
+	g.mu.Lock()
+	g.delivered = append(g.delivered, evs...)
+	g.mu.Unlock()
+	return nil
+}
+
+// TestFlushWaitsForInFlightDrainerBatch checks FlushEvents is a barrier
+// over the background drainer: when the drainer has already popped a spill
+// batch and is still delivering it, the flush must not report the stream
+// applied until that batch has landed.
+func TestFlushWaitsForInFlightDrainerBatch(t *testing.T) {
+	gs := &gateStorage{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	c, err := NewWithHealth([]core.Storage{gs}, HealthConfig{
+		FailureThreshold: 1, ProbeInterval: time.Millisecond,
+		RetryQueue: 100, RetryInterval: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+
+	gs.down.Store(true)
+	const n = 10
+	for i := 0; i < n; i++ {
+		if err := c.ProcessEventAsync(event.Event{Caller: uint64(i + 1), Timestamp: int64(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gs.down.Store(false)
+	<-gs.entered // the drainer popped the spilled events and is delivering them
+
+	atFlush := make(chan int, 1)
+	go func() {
+		if err := c.FlushEvents(); err != nil {
+			t.Error(err)
+		}
+		atFlush <- gs.deliveredCount()
+	}()
+	// Give a flush that does not wait for the drainer time to return early;
+	// a correct flush cannot return before the release either way.
+	time.Sleep(20 * time.Millisecond)
+	close(gs.release)
+	if got := <-atFlush; got != n {
+		t.Fatalf("FlushEvents returned with %d/%d spilled events delivered", got, n)
 	}
 }

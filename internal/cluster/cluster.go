@@ -37,9 +37,6 @@ type Cluster struct {
 	hcfg   HealthConfig
 	health []*nodeHealth
 
-	bcfg    BatchConfig
-	batches []*nodeBatch // nil unless batching is enabled
-
 	// Follower-replica state (see replica.go). repMu guards the follower
 	// lists and the per-shard promotion flag; the scan-pick and promotion
 	// paths take it briefly and never across deliveries.
@@ -61,10 +58,9 @@ type Cluster struct {
 }
 
 // Options bundles the cluster's optional tuning knobs. Zero values select
-// the defaults (health tracking on, batching off).
+// the defaults (health tracking on, no replicas).
 type Options struct {
 	Health   HealthConfig
-	Batch    BatchConfig
 	Replicas ReplicaConfig
 }
 
@@ -79,7 +75,7 @@ func NewWithHealth(nodes []core.Storage, hcfg HealthConfig) (*Cluster, error) {
 	return NewWithOptions(nodes, Options{Health: hcfg})
 }
 
-// NewWithOptions builds a cluster with explicit health and batching
+// NewWithOptions builds a cluster with explicit health and replica
 // configurations.
 func NewWithOptions(nodes []core.Storage, opts Options) (*Cluster, error) {
 	if len(nodes) == 0 {
@@ -89,7 +85,6 @@ func NewWithOptions(nodes []core.Storage, opts Options) (*Cluster, error) {
 		nodes:     make([]atomic.Pointer[core.Storage], len(nodes)),
 		hcfg:      opts.Health.withDefaults(),
 		health:    make([]*nodeHealth, len(nodes)),
-		bcfg:      opts.Batch.withDefaults(),
 		rcfg:      opts.Replicas.withDefaults(),
 		followers: make([][]*shardFollower, len(nodes)),
 		promoting: make([]bool, len(nodes)),
@@ -104,13 +99,6 @@ func NewWithOptions(nodes []core.Storage, opts Options) (*Cluster, error) {
 		n := nodes[i]
 		c.nodes[i].Store(&n)
 		c.health[i] = &nodeHealth{}
-	}
-	if c.bcfg.MaxEvents > 1 {
-		c.batches = make([]*nodeBatch, len(nodes))
-		for i := range c.batches {
-			c.batches[i] = &nodeBatch{}
-		}
-		c.startLinger()
 	}
 	return c, nil
 }
@@ -129,29 +117,6 @@ func (c *Cluster) ReplaceNode(idx int, n core.Storage) error {
 	}
 	if n == nil {
 		return errors.New("cluster: ReplaceNode needs a handle")
-	}
-	if c.batches != nil {
-		// The in-flight coalescing buffer holds events accepted for the OLD
-		// handle but not yet delivered. Move them to the spill queue's tail
-		// (they are newer than anything spilled during the outage, so
-		// spill-then-buffer preserves stream order) before the new handle
-		// goes live — otherwise a racing linger flush could deliver them to
-		// the new node ahead of the older spilled events. sendMu is held so
-		// no delivery of this buffer is in flight while we take it.
-		b := c.batches[idx]
-		b.sendMu.Lock()
-		if evs := b.take(); len(evs) > 0 {
-			if c.disabled() {
-				// No spill queue to merge into; keep them buffered for the
-				// next flush against the new handle.
-				b.requeueFront(evs)
-			} else if n, err := c.spillBatch(idx, evs); err != nil {
-				// Spill queue full (or disabled): keep the leftover suffix
-				// buffered rather than losing it.
-				b.requeueFront(evs[n:])
-			}
-		}
-		b.sendMu.Unlock()
 	}
 	c.nodes[idx].Store(&n)
 	if !c.disabled() {
@@ -194,16 +159,10 @@ func NewLocal(n int, cfg core.Config) (*Cluster, []*core.StorageNode, error) {
 	return c, nodes, nil
 }
 
-// Close flushes any coalescing buffers (best effort) and stops the
-// background goroutines. It does not close the storage handles, which the
-// caller owns. Idempotent.
+// Close stops the background goroutines. It does not close the storage
+// handles, which the caller owns. Idempotent.
 func (c *Cluster) Close() {
-	c.closeOnce.Do(func() {
-		for idx := range c.batches {
-			_ = c.flushBatch(idx)
-		}
-		close(c.quit)
-	})
+	c.closeOnce.Do(func() { close(c.quit) })
 	c.wg.Wait()
 }
 
@@ -244,14 +203,8 @@ func (c *Cluster) disabled() bool { return c.hcfg.FailureThreshold < 0 }
 // breaker is open (or delivery fails), the event spills to the node's
 // bounded retry queue and nil is returned — the ESP pipeline keeps moving.
 // Only when spilling is impossible does it fail fast with a NodeDownError.
-// With batching enabled (Options.Batch) the event joins the owning node's
-// coalescing buffer instead and delivery errors surface at flush time, where
-// they take the same spill path.
 func (c *Cluster) ProcessEventAsync(ev event.Event) error {
 	idx := c.indexFor(ev.Caller)
-	if c.batches != nil {
-		return c.bufferEvent(idx, ev)
-	}
 	if c.disabled() {
 		return c.node(idx).ProcessEventAsync(ev)
 	}
@@ -287,6 +240,91 @@ func (c *Cluster) spillOrFail(idx int, ev event.Event, cause error) error {
 	// Full queue under SpillReject (or shutdown during SpillBlock): the
 	// caller keeps the event and gets a typed, retryable rejection.
 	return c.spillRejection(idx)
+}
+
+// ProcessEventBatch routes a batch of events to their owning servers: the
+// events are bucketed by owner (preserving per-caller order) and delivered
+// as one batch per touched node.
+func (c *Cluster) ProcessEventBatch(evs []event.Event) error {
+	if len(evs) == 0 {
+		return nil
+	}
+	if len(c.nodes) == 1 {
+		return c.deliverBatch(0, evs)
+	}
+	buckets := make([][]event.Event, len(c.nodes))
+	for _, ev := range evs {
+		idx := c.indexFor(ev.Caller)
+		buckets[idx] = append(buckets[idx], ev)
+	}
+	var firstErr error
+	for idx, bucket := range buckets {
+		if err := c.deliverBatch(idx, bucket); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
+}
+
+// deliverBatch sends one batch to its node through the health machinery:
+// breaker-open or failed deliveries spill the undelivered suffix to the
+// node's retry queue (the delivered prefix is never requeued, so no event is
+// applied twice by this path). A spill shortfall (full queue under
+// SpillReject, or spilling disabled) returns a core.PartialBatchError with
+// the accepted prefix so the caller can resubmit the rest — never a silent
+// drop.
+func (c *Cluster) deliverBatch(idx int, evs []event.Event) error {
+	if len(evs) == 0 {
+		return nil
+	}
+	if c.disabled() {
+		_, err := core.ProcessBatch(c.node(idx), evs)
+		return err
+	}
+	h := c.health[idx]
+	if !h.allow(time.Now()) {
+		return c.spillTail(idx, evs, 0)
+	}
+	delivered, err := core.ProcessBatch(c.node(idx), evs)
+	h.record(err, c.hcfg.FailureThreshold, c.hcfg.ProbeInterval)
+	if err != nil {
+		return c.spillTail(idx, evs, delivered)
+	}
+	return nil
+}
+
+// spillTail spills evs[delivered:]; on a shortfall the error wraps the
+// total accepted prefix in a core.PartialBatchError.
+func (c *Cluster) spillTail(idx int, evs []event.Event, delivered int) error {
+	spilled, err := c.spillBatch(idx, evs[delivered:])
+	if err == nil {
+		return nil
+	}
+	return &core.PartialBatchError{Applied: delivered + spilled, Err: err}
+}
+
+// spillBatch queues undelivered events for background replay, returning how
+// many were accepted. Under SpillDropOldest overflow evicts the oldest
+// queued events (counted in NodeHealth.Dropped) and everything is accepted;
+// under SpillBlock overflow waits for the drainer to make room. Under
+// SpillReject — or with the queue disabled — events that do not fit are NOT
+// accepted: the caller gets a typed error and owns the unaccepted suffix.
+func (c *Cluster) spillBatch(idx int, evs []event.Event) (int, error) {
+	h := c.health[idx]
+	for i, ev := range evs {
+		if h.spill(ev, c.hcfg.RetryQueue, c.hcfg.SpillPolicy) {
+			c.startDrainer()
+			continue
+		}
+		if c.hcfg.RetryQueue < 0 {
+			return i, &NodeDownError{Node: idx, Err: c.lastErr(idx)}
+		}
+		if c.hcfg.SpillPolicy == SpillBlock && c.spillWait(idx, ev) {
+			continue
+		}
+		return i, c.spillRejection(idx)
+	}
+	return len(evs), nil
 }
 
 // spillRejection builds the typed overload error for a full spill queue.
@@ -364,20 +402,32 @@ func (c *Cluster) drainNode(idx int) {
 		if !h.allow(time.Now()) {
 			return
 		}
-		evs := h.popBatch(drainBatch)
-		if len(evs) == 0 {
-			// Raced with another drain; give the probe token back.
-			h.releaseProbe()
-			return
-		}
-		delivered, err := core.ProcessBatch(c.node(idx), evs)
-		h.record(err, c.hcfg.FailureThreshold, c.hcfg.ProbeInterval)
-		h.addReplayed(delivered)
-		if err != nil {
-			h.requeueFront(evs[delivered:])
+		if !c.replayBatch(idx) {
 			return
 		}
 	}
+}
+
+// replayBatch delivers one drainBatch from node idx's spill queue under the
+// replay lock, reporting whether the drainer should keep going.
+func (c *Cluster) replayBatch(idx int) bool {
+	h := c.health[idx]
+	h.replayMu.Lock()
+	defer h.replayMu.Unlock()
+	evs := h.popBatch(drainBatch)
+	if len(evs) == 0 {
+		// Raced with another drain; give the probe token back.
+		h.releaseProbe()
+		return false
+	}
+	delivered, err := core.ProcessBatch(c.node(idx), evs)
+	h.record(err, c.hcfg.FailureThreshold, c.hcfg.ProbeInterval)
+	h.addReplayed(delivered)
+	if err != nil {
+		h.requeueFront(evs[delivered:])
+		return false
+	}
+	return true
 }
 
 // ProcessEvent routes an event synchronously and returns its firing count.
@@ -385,11 +435,6 @@ func (c *Cluster) drainNode(idx int) {
 // with an open breaker they fail fast instead of hammering a dead node.
 func (c *Cluster) ProcessEvent(ev event.Event) (int, error) {
 	idx := c.indexFor(ev.Caller)
-	if c.batches != nil {
-		// Earlier same-caller events may still be buffered; they must land
-		// first to keep the single-stream application order.
-		_ = c.flushBatch(idx)
-	}
 	if c.disabled() {
 		return c.node(idx).ProcessEvent(ev)
 	}
@@ -439,13 +484,6 @@ func (c *Cluster) retryOverloaded(deadline time.Time, op func() error) error {
 func (c *Cluster) FlushEvents() error {
 	var firstErr error
 	deadline := time.Now().Add(flushOverloadBudget)
-	for idx := range c.batches {
-		idx := idx
-		err := c.retryOverloaded(deadline, func() error { return c.flushBatch(idx) })
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
 	for idx := range c.nodes {
 		idx := idx
 		err := c.retryOverloaded(deadline, func() error { return c.flushSpilled(idx) })
@@ -471,6 +509,8 @@ func (c *Cluster) FlushEvents() error {
 // anything else means the node is down.
 func (c *Cluster) flushSpilled(idx int) error {
 	h := c.health[idx]
+	h.replayMu.Lock()
+	defer h.replayMu.Unlock()
 	for {
 		evs := h.popBatch(drainBatch)
 		if len(evs) == 0 {
@@ -489,14 +529,9 @@ func (c *Cluster) flushSpilled(idx int) error {
 	}
 }
 
-// Get fetches the entity's record from its owning server. With batching
-// enabled the node's coalescing buffer is flushed first, so the read
-// observes every event this cluster handle accepted for the entity.
+// Get fetches the entity's record from its owning server.
 func (c *Cluster) Get(entityID uint64) (schema.Record, uint64, bool, error) {
 	idx := c.indexFor(entityID)
-	if c.batches != nil {
-		_ = c.flushBatch(idx)
-	}
 	if c.disabled() {
 		return c.node(idx).Get(entityID)
 	}
@@ -512,9 +547,6 @@ func (c *Cluster) Get(entityID uint64) (schema.Record, uint64, bool, error) {
 // Put stores a record on its owning server.
 func (c *Cluster) Put(rec schema.Record) error {
 	idx := c.indexFor(rec.EntityID())
-	if c.batches != nil {
-		_ = c.flushBatch(idx)
-	}
 	if c.disabled() {
 		return c.node(idx).Put(rec)
 	}
@@ -531,9 +563,6 @@ func (c *Cluster) Put(rec schema.Record) error {
 // Version conflicts come from a live node and do not count against it.
 func (c *Cluster) ConditionalPut(rec schema.Record, expected uint64) error {
 	idx := c.indexFor(rec.EntityID())
-	if c.batches != nil {
-		_ = c.flushBatch(idx)
-	}
 	if c.disabled() {
 		return c.node(idx).ConditionalPut(rec, expected)
 	}

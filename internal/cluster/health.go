@@ -163,6 +163,11 @@ type NodeHealth struct {
 
 // nodeHealth is the live circuit breaker + spill queue for one node.
 type nodeHealth struct {
+	// replayMu serializes spill-queue replay: the background drainer and
+	// FlushEvents deliver popped batches one at a time, so replay keeps
+	// queue order and a flush cannot return while a drainer batch is
+	// still in flight.
+	replayMu sync.Mutex
 	mu       sync.Mutex
 	state    BreakerState
 	fails    int

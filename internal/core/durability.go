@@ -20,7 +20,7 @@ import (
 // Correctness hangs on two orderings:
 //
 //  1. Producers make archive-append + worker-enqueue atomic under
-//     ingestMu.RLock (see StorageNode.submitEvent).
+//     ingestMu (see StorageNode.submitEvent).
 //  2. The checkpointer takes ingestMu.Lock, reads the next LSN as the
 //     watermark W, and enqueues one capture barrier per ESP worker before
 //     unlocking. Worker queues are FIFO, so when a barrier runs, its worker

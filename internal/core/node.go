@@ -150,12 +150,13 @@ type StorageNode struct {
 	wg       sync.WaitGroup
 	stopped  atomic.Bool
 
-	// ingestMu orders event ingest against the fuzzy-checkpoint barrier:
-	// producers hold the read side across archive-append + worker-enqueue
-	// (making the pair atomic), the checkpointer takes the write side to pin
-	// a watermark W with every event below W already queued ahead of the
-	// capture barrier and no event at/above W queued behind it.
-	ingestMu sync.RWMutex
+	// ingestMu makes archive-append + worker-enqueue atomic. Producers
+	// hold it across the pair, so the ESP workers apply events in LSN order
+	// even when callers race (the matrix is always a replay of the archive),
+	// and the checkpointer holds it to pin a watermark W with every event
+	// below W already queued ahead of the capture barrier and no event
+	// at/above W queued behind it.
+	ingestMu sync.Mutex
 	// ckptMu serializes checkpoints (one fuzzy snapshot at a time).
 	ckptMu sync.Mutex
 	// forceFull is set when an incremental checkpoint fails after the
@@ -289,15 +290,16 @@ func (n *StorageNode) ProcessEvent(ev event.Event) (int, error) {
 }
 
 // submitEvent archives (when configured) and enqueues one event. With an
-// archive, append + enqueue happen under ingestMu's read side so the pair
-// is atomic with respect to the fuzzy-checkpoint watermark pin.
+// archive, append + enqueue happen under ingestMu so the pair is atomic
+// with respect to other producers and to the fuzzy-checkpoint watermark
+// pin.
 func (n *StorageNode) submitEvent(ev event.Event, resp chan espResponse) error {
 	if n.cfg.Archive == nil {
 		n.workerForEntity(ev.Caller).ch <- espRequest{kind: kindEvent, ev: ev, resp: resp}
 		return nil
 	}
-	n.ingestMu.RLock()
-	defer n.ingestMu.RUnlock()
+	n.ingestMu.Lock()
+	defer n.ingestMu.Unlock()
 	if _, err := n.cfg.Archive.Append(&ev); err != nil {
 		return err
 	}
@@ -378,8 +380,8 @@ func (n *StorageNode) ProcessEventBatch(evs []event.Event) error {
 		n.enqueueBatch(evs)
 		return nil
 	}
-	n.ingestMu.RLock()
-	defer n.ingestMu.RUnlock()
+	n.ingestMu.Lock()
+	defer n.ingestMu.Unlock()
 	if _, appended, err := n.cfg.Archive.AppendBatch(evs); err != nil {
 		if appended > 0 {
 			// The prefix is durably in the WAL: apply it now so matrix state

@@ -104,8 +104,11 @@ func TestReplicaFailoverKillCampaign(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d (spec %q): %v", iter, spec, err)
 		}
+		// The primary's client coalesces, so the kill lands on batched
+		// wire traffic.
 		cli, err := netproto.DialConfig(srv.addr, sch, netproto.ClientConfig{
 			CallTimeout: 2 * time.Second, MaxRetries: -1, DisableReconnect: true,
+			EventBatch: 64, EventLinger: time.Millisecond,
 		})
 		if err != nil {
 			t.Fatalf("iter %d: dial: %v", iter, err)
@@ -146,7 +149,6 @@ func TestReplicaFailoverKillCampaign(t *testing.T) {
 				FailureThreshold: 3, ProbeInterval: 100 * time.Millisecond,
 				RetryQueue: 1 << 17, RetryInterval: 5 * time.Millisecond,
 			},
-			Batch: cluster.BatchConfig{MaxEvents: 64, Linger: time.Millisecond},
 			Replicas: cluster.ReplicaConfig{
 				AutoPromote: true, PromoteAfter: 150 * time.Millisecond,
 				CheckInterval: 10 * time.Millisecond,
@@ -249,10 +251,10 @@ func TestReplicaFailoverKillCampaign(t *testing.T) {
 			t.Fatalf("iter %d: RTA query failed with an untyped error: %v", iter, qbad)
 		}
 		qmu.Unlock()
-		// Quiesce before snapshotting: FlushEvents drains the coalescing
-		// buffers and the spill queue, Close joins the background drainer
-		// (whose in-flight batch could otherwise land mid-verification), and
-		// the second flush catches anything a dying delivery requeued.
+		// Quiesce before snapshotting: FlushEvents drains the spill queue,
+		// Close joins the background drainer (whose in-flight batch could
+		// otherwise land mid-verification), and the second flush catches
+		// anything a dying delivery requeued.
 		if err := cl.FlushEvents(); err != nil {
 			t.Fatalf("iter %d: post-failover flush: %v", iter, err)
 		}

@@ -158,40 +158,6 @@ func TestSyncCallFlushesBuffered(t *testing.T) {
 	waitProcessed(t, node, 5)
 }
 
-// TestServerSideCoalescing drives a legacy per-event client against a
-// server with ingest coalescing enabled: msgEvent frames group into batch
-// applies, a flush forces the partial group out, and the idle linger drains
-// a group no further traffic completes.
-func TestServerSideCoalescing(t *testing.T) {
-	cli, node, _ := startPairCfg(t,
-		ServerConfig{IngestBatch: 16, IngestLinger: 2 * time.Millisecond},
-		ClientConfig{})
-	for i := 0; i < 100; i++ {
-		ev := event.Event{Caller: uint64(i%20) + 1, Timestamp: int64(i + 1), Duration: 5, Cost: 1}
-		if err := cli.ProcessEventAsync(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// 100 = 6 full groups of 16 plus a partial 4; the flush frame forces the
-	// partial out before the server acks.
-	if err := cli.FlushEvents(); err != nil {
-		t.Fatal(err)
-	}
-	if got := node.Stats().EventsProcessed; got != 100 {
-		t.Fatalf("server processed %d events, want 100", got)
-	}
-
-	// Idle-linger path: a lone partial group with no follow-up frame must
-	// still drain via the read-deadline peek.
-	for i := 0; i < 5; i++ {
-		ev := event.Event{Caller: 3, Timestamp: int64(200 + i), Duration: 5, Cost: 1}
-		if err := cli.ProcessEventAsync(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitProcessed(t, node, 105)
-}
-
 // TestLingerRetriesAfterFailedFlush checks a dead timer cannot strand a
 // quiet stream: when a linger flush fails (server unreachable) the timer
 // re-arms, so the buffered events are delivered after the server heals with

@@ -29,7 +29,7 @@ type chaosRig struct {
 	sent     int
 }
 
-func newChaosRig(t *testing.T) *chaosRig {
+func newChaosRig(t *testing.T, eventBatch int) *chaosRig {
 	t.Helper()
 	r := &chaosRig{sch: netSchema(t), plan: NewFaultPlan()}
 	var handles []core.Storage
@@ -52,6 +52,7 @@ func newChaosRig(t *testing.T) *chaosRig {
 			MaxRetries:  8,
 			BackoffBase: 2 * time.Millisecond,
 			BackoffMax:  20 * time.Millisecond,
+			EventBatch:  eventBatch,
 		}
 		if i == 0 {
 			cfg.Dialer = r.plan.Dialer()
@@ -123,11 +124,22 @@ func (r *chaosRig) sumQuery(id uint64) *query.Query {
 // degraded-policy RTA queries return partials marked Incomplete while
 // strict-policy queries fail with the typed node-failure error — and after
 // healing, the cluster converges with zero event loss and zero goroutine
-// leaks.
+// leaks. It runs over a per-event client and over the coalescing client
+// shape that aimload uses, so the zero-loss check covers cluster spill →
+// client batch buffer → server.
 func TestChaosFlakyNodeFullWorkload(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		eventBatch int
+	}{{"per-event", 0}, {"batch16", 16}} {
+		t.Run(tc.name, func(t *testing.T) { chaosFlakyNodeFullWorkload(t, tc.eventBatch) })
+	}
+}
+
+func chaosFlakyNodeFullWorkload(t *testing.T, eventBatch int) {
 	before := runtime.NumGoroutine()
 
-	r := newChaosRig(t)
+	r := newChaosRig(t, eventBatch)
 	func() {
 		defer r.close()
 

@@ -44,17 +44,6 @@ type ServerConfig struct {
 	// Metrics, when set, instruments request handling (see
 	// NewServerMetrics). Nil disables instrumentation at zero cost.
 	Metrics *ServerMetrics
-	// IngestBatch enables server-side event coalescing for clients that
-	// still send one msgEvent frame per event: up to IngestBatch
-	// consecutive event frames on a connection are applied as one
-	// node-level batch. Any other frame type (and connection teardown)
-	// applies the pending batch first, so per-connection ordering is
-	// unchanged. 0 or 1 disables coalescing.
-	IngestBatch int
-	// IngestLinger bounds how long a coalesced event may wait for more
-	// traffic while the connection is idle. 0 selects DefaultEventLinger;
-	// only meaningful when IngestBatch > 1.
-	IngestLinger time.Duration
 	// ReplArchive, when set, enables the WAL log-shipping stream
 	// (DESIGN.md §12): msgReplSubscribe subscribers tail this archive —
 	// normally the served node's own event WAL.
@@ -171,14 +160,8 @@ func (s *Server) handleConn(conn net.Conn) {
 	}()
 
 	// Reads are buffered: one kernel read can surface many 77 B event
-	// frames. With IngestBatch > 1 consecutive msgEvent frames additionally
-	// coalesce in evbuf and hit the node as one batch.
+	// frames.
 	br := bufio.NewReaderSize(conn, 64<<10)
-	batchMax := s.cfg.IngestBatch
-	linger := s.cfg.IngestLinger
-	if linger <= 0 {
-		linger = DefaultEventLinger
-	}
 	// Overload pushback state. Fire-and-forget events rejected by admission
 	// control have no reply frame, so the server (a) pushes an msgOverload
 	// frame — throttled to one per retry-after window — telling the client
@@ -205,46 +188,11 @@ func (s *Server) handleConn(conn net.Conn) {
 			writeMu.Unlock()
 		}
 	}
-	var evbuf []event.Event
-	flushEvents := func() {
-		if len(evbuf) == 0 {
-			return
-		}
-		evs := evbuf
-		evbuf = nil
-		// Fire-and-forget: errors surface via msgFlush, as on the
-		// per-event path.
-		applied, err := core.ProcessBatch(s.node, evs)
-		notifyOverload(err, len(evs)-applied)
-	}
-	defer flushEvents()
 
 	for {
-		if len(evbuf) > 0 && br.Buffered() == 0 {
-			// Stream idle with a pending batch: wait at most linger for the
-			// next frame's first byte, then apply what we have. bufio drops
-			// its stored read error once consumed, so a deadline timeout
-			// here does not poison later reads.
-			conn.SetReadDeadline(time.Now().Add(linger))
-			_, err := br.Peek(1)
-			conn.SetReadDeadline(time.Time{})
-			if err != nil {
-				flushEvents()
-				var ne net.Error
-				if errors.As(err, &ne) && ne.Timeout() {
-					continue
-				}
-				return
-			}
-		}
 		f, err := readFrame(br)
 		if err != nil {
 			return
-		}
-		if f.typ != msgEvent {
-			// Ordering: a batch coalesced from earlier event frames must be
-			// applied before any later request on the same connection.
-			flushEvents()
 		}
 		t0 := time.Now()
 		switch f.typ {
@@ -258,13 +206,6 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 			if f.typ == msgEvent {
 				s.cfg.Metrics.eventsReceived(1)
-				if batchMax > 1 {
-					evbuf = append(evbuf, ev)
-					if len(evbuf) >= batchMax {
-						flushEvents()
-					}
-					continue
-				}
 				if err := s.node.ProcessEventAsync(ev); err != nil {
 					// Fire-and-forget: the error surfaces via Flush.
 					notifyOverload(err, 1)

@@ -25,6 +25,9 @@ type Executor struct {
 	pred []uint64 // current predicate mask
 	slab []uint64 // per-bucket mask cache for batch plans (one mask per distinct predicate)
 	idx  []int32  // matched-record index slab for the grouped path
+	// aggCols holds the grouped path's per-aggregate input columns for the
+	// current bucket: value column, then ratio denominator column.
+	aggCols [][]uint64
 
 	// gcache holds one group-row cache per batch-query position: raw group
 	// column value -> the partial's accumulator row. It replaces the
@@ -382,6 +385,20 @@ func (ex *Executor) aggregateGrouped(b columnmap.Bucket, q *Query, p *Partial, m
 	if gc != nil {
 		rows = gc.rowsFor(p)
 	}
+	// Resolve each aggregate's input columns once per bucket, not once per
+	// matched record.
+	cols := ex.aggCols[:0]
+	for _, a := range q.Aggs {
+		var vals, dens []uint64
+		if a.Op != OpCount {
+			vals = ex.col(b, a.Attr)
+		}
+		if a.Op == OpArgMinRatio || a.Op == OpArgMaxRatio {
+			dens = ex.col(b, a.Attr2)
+		}
+		cols = append(cols, vals, dens)
+	}
+	ex.aggCols = cols
 	ex.idx = vec.Indices(mask, ex.idx)
 	for _, i32 := range ex.idx {
 		i := int(i32)
@@ -406,19 +423,19 @@ func (ex *Executor) aggregateGrouped(b columnmap.Bucket, q *Query, p *Partial, m
 			switch a.Op {
 			case OpCount:
 			case OpSum, OpAvg:
-				cell.Sum += slotVal(ex.col(b, a.Attr)[i], ex.sch.Attrs[a.Attr].Type)
+				cell.Sum += slotVal(cols[2*ai][i], ex.sch.Attrs[a.Attr].Type)
 			case OpMin:
-				if v := slotVal(ex.col(b, a.Attr)[i], ex.sch.Attrs[a.Attr].Type); v < cell.Min {
+				if v := slotVal(cols[2*ai][i], ex.sch.Attrs[a.Attr].Type); v < cell.Min {
 					cell.Min = v
 				}
 			case OpMax:
-				if v := slotVal(ex.col(b, a.Attr)[i], ex.sch.Attrs[a.Attr].Type); v > cell.Max {
+				if v := slotVal(cols[2*ai][i], ex.sch.Attrs[a.Attr].Type); v > cell.Max {
 					cell.Max = v
 				}
 			default:
-				v := slotVal(ex.col(b, a.Attr)[i], ex.sch.Attrs[a.Attr].Type)
+				v := slotVal(cols[2*ai][i], ex.sch.Attrs[a.Attr].Type)
 				if a.Op == OpArgMinRatio || a.Op == OpArgMaxRatio {
-					den := slotVal(ex.col(b, a.Attr2)[i], ex.sch.Attrs[a.Attr2].Type)
+					den := slotVal(cols[2*ai+1][i], ex.sch.Attrs[a.Attr2].Type)
 					if den == 0 {
 						continue
 					}
